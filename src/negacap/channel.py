@@ -27,6 +27,7 @@ from .linalg import (
     BipartiteDims,
     as_matrix,
     eig_hermitian,
+    eigvals_hermitian,
     hermiticity_defect,
     positive_negative_parts,
 )
@@ -185,8 +186,7 @@ def is_cp(ch: Channel, tol: float = 1e-9) -> bool:
     """Completely positive iff the Choi matrix is PSD."""
     if not is_hp(ch, tol):
         return False
-    w = np.linalg.eigvalsh((ch.choi + ch.choi.conj().T) / 2.0)
-    return bool(w[0] >= -tol)
+    return bool(eigvals_hermitian(ch.choi)[0] >= -tol)
 
 
 def is_tp(ch: Channel, tol: float = 1e-9) -> bool:

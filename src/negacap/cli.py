@@ -13,11 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -52,8 +50,6 @@ class SweepAxis:
 @dataclass(frozen=True)
 class SweepSpec:
     axes: Tuple[SweepAxis, ...]
-    log_base: float = 2.0
-    out: str | None = None
     log_axes: Tuple[str, ...] = ()
 
     def grid(self):
@@ -67,15 +63,6 @@ class SweepSpec:
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _parallel_map(fn: Callable, items: Iterable) -> List:
-    items = list(items)
-    threads = int(os.environ.get("NEGACAP_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def _write_output(text: str, out: str | None):
@@ -215,14 +202,8 @@ def cmd_channel_sweep(args) -> int:
     base = _parse_base(args.base)
     if args.family == "mix":
         pair = families.mix_pair(args.pair)
-        spec = SweepSpec(
-            axes=(SweepAxis("p", args.p[0], args.p[1], int(args.p[2])),),
-            log_base=base,
-            out=args.out,
-        )
-        rows = _parallel_map(
-            lambda point: _sweep_point_mix(pair, base, point[0]), spec.grid()
-        )
+        spec = SweepSpec(axes=(SweepAxis("p", args.p[0], args.p[1], int(args.p[2])),))
+        rows = [_sweep_point_mix(pair, base, p) for (p,) in spec.grid()]
         header = ["p", "lower_L", "upper_L_joint", "upper_L_convex"]
     else:
         if args.family not in families.FAMILIES:
@@ -232,12 +213,8 @@ def cmd_channel_sweep(args) -> int:
                 SweepAxis("alpha", args.alpha[0], args.alpha[1], int(args.alpha[2])),
                 SweepAxis("beta", args.beta[0], args.beta[1], int(args.beta[2])),
             ),
-            log_base=base,
-            out=args.out,
         )
-        rows = _parallel_map(
-            lambda ab: _sweep_point_unitary(args.family, base, *ab), spec.grid()
-        )
+        rows = [_sweep_point_unitary(args.family, base, *ab) for ab in spec.grid()]
         header = [
             "alpha",
             "beta",
@@ -286,8 +263,6 @@ def cmd_gaussian_sweep(args) -> int:
             SweepAxis("gamma", args.gamma[0], args.gamma[1], int(args.gamma[2])),
             SweepAxis("r", args.r[0], args.r[1], int(args.r[2])),
         ),
-        log_base=base,
-        out=args.out,
         log_axes=("r",) if args.log_r else (),
     )
 
@@ -299,13 +274,14 @@ def cmd_gaussian_sweep(args) -> int:
         f = gaussian.f_block(params, blocks)
         return (g, r, f, gaussian.block_log_negativity(params, blocks, base))
 
-    rows = _parallel_map(point, spec.grid())
+    rows = [point(gr) for gr in spec.grid()]
     _emit_table(["gamma", "r", "f", "E_L"], rows, args)
     return 0
 
 
 def cmd_saturate(args) -> int:
-    ch = io.load_channel(args.channel)
+    payload = io.load_json(args.channel)
+    ch = io.channel_from_dict(payload)
     report: dict = {
         "in_dims": [ch.in_dims.d_a, ch.in_dims.d_b],
         "out_dims": [ch.out_dims.d_a, ch.out_dims.d_b],
@@ -331,7 +307,6 @@ def cmd_saturate(args) -> int:
             np.max(np.abs(witness - np.trace(witness) / d * np.eye(d)))
         )
         report["saturation"] = {"prop_identity": bool(defect <= args.tol * scale)}
-        payload = io.load_json(args.channel)
         family = payload.get("family")
         if family in families.KNOWN_OPTIMAL_FAMILIES:
             report["known_optimal_states"] = families.KNOWN_OPTIMAL_FAMILIES[family]

@@ -28,14 +28,17 @@ import numpy as np
 from . import channel as chn
 from .channel import Channel, MapSplit
 from .errors import (
+    BoundsOutOfOrder,
     DimensionMismatch,
     NotCPTP,
     NotDensityOperator,
+    NotHP,
     NotNormalized,
     NotTPSum,
     NotUnitary,
 )
 from .linalg import (
+    ZERO_EIGENVALUE_RTOL,
     Array,
     BipartiteDims,
     as_matrix,
@@ -46,10 +49,6 @@ from .linalg import (
     tensor,
     trace_norm,
 )
-
-
-def _log(x: float, base: float) -> float:
-    return math.log(x) / math.log(base)
 
 
 def _check_density(rho: Array, tol: float) -> Array:
@@ -79,7 +78,7 @@ def log_negativity(
     rho = _check_density(rho, tol)
     dims.check_side(rho.shape[0])
     w, _ = eig_hermitian(partial_transpose(rho, dims))
-    return max(_log(float(np.sum(np.abs(w))), base), 0.0)
+    return max(math.log(float(np.sum(np.abs(w))), base), 0.0)
 
 
 def gamma_norm(
@@ -114,8 +113,25 @@ def gamma_split(ch: Channel, tol: float | None = None) -> MapSplit:
 
 
 def pt_minus_identity(ch: Channel, tol: float | None = None) -> Array:
-    """The bound-driving operator M = (S^Gamma)_-^dag(I); zero iff S is PPT."""
-    return chn.adjoint_identity(gamma_split(ch, tol=tol).minus)
+    """The bound-driving operator M = (S^Gamma)_-^dag(I); zero iff S is PPT.
+
+    Equals ``adjoint_identity(gamma_split(ch, tol).minus)``, contracted
+    straight from the negative eigenpairs ``(w_n, v_n)`` of T(S^Gamma) so
+    that neither part of the split is formed. With each eigenvector
+    indexed ``v_n[i, k]`` (input i, output k),
+    ``M_ij = sum_kn |w_n| v_n[i, k]^* v_n[j, k]``.
+    """
+    pt = chn.map_partial_transpose(ch)
+    if not chn.is_hp(pt, tol if tol is not None else 1e-9):
+        raise NotHP("pt_minus_identity needs a Hermiticity-preserving channel")
+    w, v = eig_hermitian(pt.choi)
+    if tol is None:
+        tol = ZERO_EIGENVALUE_RTOL * (float(np.max(np.abs(w))) if w.size else 0.0)
+    neg = w < -tol
+    # rows i, columns (k, n): the sum over k and n is one matrix product
+    vecs = v[:, neg].reshape(ch.d_in, -1)
+    weighted = (v[:, neg] * -w[neg]).reshape(ch.d_in, -1)
+    return vecs.conj() @ weighted.T
 
 
 @dataclass(frozen=True)
@@ -136,9 +152,9 @@ class ECBounds:
 
     def __post_init__(self):
         if self.lower_n > self.upper_n_max + 1e-12:
-            raise ValueError("lower_n exceeds upper_n_max")
+            raise BoundsOutOfOrder("lower_n exceeds upper_n_max")
         if self.lower_l > self.upper_l + 1e-12:
-            raise ValueError("lower_l exceeds upper_l")
+            raise BoundsOutOfOrder("lower_l exceeds upper_l")
 
 
 def _require_cptp(ch: Channel, tol: float):
@@ -173,8 +189,8 @@ def ec_bounds_deterministic(
         lower_n=lower_tr / d,
         upper_n_coefficient=upper_coeff,
         upper_n_max=upper_coeff * min(ch.in_dims.d_a, ch.in_dims.d_b),
-        lower_l=_log(1.0 + 2.0 * lower_tr / d, base),
-        upper_l=_log(1.0 + 2.0 * upper_coeff, base),
+        lower_l=math.log(1.0 + 2.0 * lower_tr / d, base),
+        upper_l=math.log(1.0 + 2.0 * upper_coeff, base),
         log_base=base,
     )
 
@@ -238,7 +254,7 @@ def ec_bounds_probabilistic(
         gamma_tr = minus_tr + trace_norm(m_plus)  # ||T(S_i^Gamma)||_1
         sub_lower_n = minus_tr / d
         sub_lower_l = (
-            prob * _log(gamma_tr / (prob * d), base) if prob > tol else 0.0
+            prob * math.log(gamma_tr / (prob * d), base) if prob > tol else 0.0
         )
         lower_n += sub_lower_n
         lower_l += sub_lower_l
@@ -259,7 +275,7 @@ def ec_bounds_probabilistic(
         upper_n_coefficient=upper_coeff,
         upper_n_max=upper_coeff * min(da, db),
         lower_l=max(lower_l, 0.0),
-        upper_l=_log(1.0 + 2.0 * upper_coeff, base),
+        upper_l=math.log(1.0 + 2.0 * upper_coeff, base),
         log_base=base,
     )
     return ProbabilisticBounds(bounds=bounds, per_sub=tuple(records))

@@ -64,6 +64,10 @@ class NotNormalized(NegacapError):
     """Vector does not have unit norm."""
 
 
+class BoundsOutOfOrder(NegacapError):
+    """A lower entangling-capacity bound exceeds its upper bound."""
+
+
 # gaussian
 class NotPositiveDefinite(NegacapError):
     """Covariance matrix is not positive definite."""

@@ -43,10 +43,6 @@ from .linalg import Array, eig_hermitian, sqrt_psd
 SYMMETRY_ATOL = 1e-12
 
 
-def _log(x: float, base: float) -> float:
-    return math.log(x) / math.log(base)
-
-
 @dataclass(frozen=True)
 class SymplecticForm:
     """The standard symplectic form in interleaved mode ordering."""
@@ -176,7 +172,7 @@ def log_negativity_gaussian(
         raise InvalidState("covariance matrix violates the uncertainty relation")
     nus = symplectic_eigenvalues(partial_transpose_cov(cov, partition))
     return float(
-        sum(max(_log(cov.hbar / (2.0 * nu), base), 0.0) for nu in nus)
+        sum(max(math.log(cov.hbar / (2.0 * nu), base), 0.0) for nu in nus)
     )
 
 
@@ -421,7 +417,7 @@ def block_log_negativity(
     f = f_block(p, blocks)
     if f <= 0.0:
         raise InvalidParams("f_block must be positive for a valid state")
-    return max(0.5 * _log(p.hbar**2 / (4.0 * f), base), 0.0)
+    return max(0.5 * math.log(p.hbar**2 / (4.0 * f), base), 0.0)
 
 
 class Unbounded:
@@ -474,13 +470,13 @@ def sup_block_entanglement(
     factor = 1.0 + sup_gap_ratio(blocks)
     if nu_d is None:
         if measure == "logneg":
-            return 0.5 * _log(factor, base)
+            return 0.5 * math.log(factor, base)
         return 0.5 * (math.sqrt(factor) - 1.0)
     if nu_d < hbar / 2.0 - 1e-12:
         raise InvalidParams(f"nu_D = {nu_d} < hbar/2")
     q = hbar / (2.0 * nu_d)
     if measure == "logneg":
-        return max(0.5 * _log(q**2 * factor, base), 0.0)
+        return max(0.5 * math.log(q**2 * factor, base), 0.0)
     return max(0.5 * (q * math.sqrt(factor) - 1.0), 0.0)
 
 
@@ -542,7 +538,7 @@ def pure_state_oracle(a: float, b: float, n_total: int, base: float = 2.0) -> fl
         d = (a + b - b * n_total) / (a + 3 * b - b * n_total)
     if d <= 1.0:
         return 0.0
-    return 0.5 * _log(d, base)
+    return 0.5 * math.log(d, base)
 
 
 def pure_symmetric_cov(

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from negacap import families
+from negacap import entcap, families
 from negacap.cli import main
 from negacap.io import channel_to_dict, matrix_to_dict
 from negacap.channel import unitary_channel
@@ -217,6 +217,41 @@ class TestThreading:
         monkeypatch.setenv("NEGACAP_THREADS", "4")
         _, parallel, _ = run(capsys, *args)
         assert serial == parallel
+
+
+class TestKernelCounts:
+    """LAPACK work per rot33 sweep point, as the benchmark's traced run counts it."""
+
+    def test_rot33_point(self, capsys, monkeypatch, rng):
+        calls = []
+        for name in ("eigh", "eigvalsh", "svd"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _original=original, _name=name, **kwargs):
+                calls.append((_name, a.shape[-1], a.dtype))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        pt_calls = []
+        original_pt = entcap.pt_minus_identity
+
+        def counted_pt(*args, **kwargs):
+            pt_calls.append(args)
+            return original_pt(*args, **kwargs)
+
+        monkeypatch.setattr(entcap, "pt_minus_identity", counted_pt)
+        a0, b0 = (float(x) for x in rng.uniform(0.1, 3.0, size=2))
+        code, _, _ = run(
+            capsys, "channel-sweep", "--family", "rot33",
+            "--alpha", str(a0), str(a0 + 0.1), "2",
+            "--beta", str(b0), str(b0 + 0.1), "2",
+        )
+        assert code == 0
+        points = 4
+        assert len(calls) == 6 * points
+        assert sum(n**3 for _, n, _ in calls) == points * (3 * 81**3 + 3 * 9**3)
+        assert len(pt_calls) == 2 * points
+        assert all(dtype == np.float64 for _, n, dtype in calls if n == 81)
 
 
 class TestFormatFlag:

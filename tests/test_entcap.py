@@ -5,13 +5,16 @@ import pytest
 
 from negacap import families
 from negacap.channel import (
+    adjoint_identity,
     apply,
     choi_from_kraus,
     kraus_channel,
+    map_partial_transpose,
     mix,
     unitary_channel,
 )
 from negacap.entcap import (
+    ECBounds,
     campbell_check,
     distance_bounds,
     ec_bounds_deterministic,
@@ -28,7 +31,13 @@ from negacap.entcap import (
     saturation_check,
     schmidt_gamma_witnesses,
 )
-from negacap.errors import NotCPTP, NotDensityOperator, NotTPSum, NotUnitary
+from negacap.errors import (
+    NegacapError,
+    NotCPTP,
+    NotDensityOperator,
+    NotTPSum,
+    NotUnitary,
+)
 from negacap.linalg import (
     BipartiteDims,
     eig_hermitian,
@@ -137,6 +146,12 @@ class TestDeterministicBounds:
         with pytest.raises(NotCPTP):
             ec_bounds_deterministic(ch)
 
+    def test_out_of_order_bounds_raise_negacap_error(self):
+        with pytest.raises(NegacapError):
+            ECBounds(0.5, 0.1, 0.2, 0.1, 0.3)
+        with pytest.raises(NegacapError):
+            ECBounds(0.1, 0.1, 0.2, 0.5, 0.3)
+
     def test_ordering_on_random_channels(self, rng):
         for _ in range(50):
             ch = rand_cptp(rng, D22, k=int(rng.integers(1, 5)))
@@ -163,6 +178,67 @@ class TestDeterministicBounds:
             gain_l = log_negativity(apply(ch, rho), D22) - log_negativity(rho, D22)
             assert gain_n <= b.upper_n_coefficient * gamma_norm(rho, 1.0, D22) + 1e-9
             assert gain_l <= b.upper_l + 1e-9
+
+
+def _rel_close(a, b, rtol=1e-12):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.max(np.abs(a - b)) <= rtol * max(np.max(np.abs(a)), np.max(np.abs(b)))
+
+
+def _bounds_tuple(b):
+    return (b.lower_n, b.upper_n_coefficient, b.upper_n_max, b.lower_l, b.upper_l)
+
+
+class TestRealArithmeticPath:
+    """Real-valued channels are solved in real arithmetic, others in complex."""
+
+    @pytest.mark.parametrize("family", ["rot23", "rot33"])
+    def test_real_path_matches_complex_path_and_schmidt(self, rng, family):
+        builder, dims = families.FAMILIES[family]
+        for _ in range(3):
+            alpha, beta = rng.uniform(0, math.pi, size=2)
+            u = builder(alpha, beta)
+            # output-side local phases: M and the bounds are unchanged
+            phases = np.kron(
+                np.exp(1j * rng.uniform(0, 2 * math.pi, size=dims.d_a)),
+                np.exp(1j * rng.uniform(0, 2 * math.pi, size=dims.d_b)),
+            )
+            real_ch = unitary_channel(u, dims)
+            cplx_ch = unitary_channel(phases[:, None] * u, dims)
+            assert not map_partial_transpose(real_ch).choi.imag.any()
+            assert map_partial_transpose(cplx_ch).choi.imag.any()
+
+            m_real = pt_minus_identity(real_ch)
+            m_cplx = pt_minus_identity(cplx_ch)
+            assert m_real.dtype == np.float64
+            assert m_cplx.dtype == np.complex128
+            _, m_schmidt = schmidt_gamma_witnesses(operator_schmidt(u, dims))
+            spectra = [np.linalg.eigvalsh(m) for m in (m_real, m_cplx, m_schmidt)]
+            assert _rel_close(spectra[0], spectra[1])
+            assert _rel_close(spectra[0], spectra[2])
+
+            b_real = _bounds_tuple(ec_bounds_deterministic(real_ch))
+            b_cplx = _bounds_tuple(ec_bounds_deterministic(cplx_ch))
+            d = dims.total
+            tr, op = np.sum(np.abs(spectra[2])), np.max(np.abs(spectra[2]))
+            b_schmidt = (
+                tr / d,
+                op,
+                op * min(dims.d_a, dims.d_b),
+                math.log2(1.0 + 2.0 * tr / d),
+                math.log2(1.0 + 2.0 * op),
+            )
+            for x, y, z in zip(b_real, b_cplx, b_schmidt):
+                assert x == pytest.approx(y, rel=1e-12, abs=1e-15)
+                assert x == pytest.approx(z, rel=1e-12, abs=1e-15)
+
+    def test_minus_only_witness_matches_gamma_split(self, rng):
+        for ch in (
+            rand_cptp(rng, D23, k=2),
+            families.family_channel("rot33", *rng.uniform(0, math.pi, size=2)),
+        ):
+            expected = adjoint_identity(gamma_split(ch).minus)
+            assert np.max(np.abs(pt_minus_identity(ch) - expected)) <= 1e-13
 
 
 class TestProbabilisticBounds:

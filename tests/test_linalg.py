@@ -5,6 +5,7 @@ from negacap.errors import DimensionMismatch, InvalidP, NotHermitian, NotPSD
 from negacap.linalg import (
     BipartiteDims,
     eig_hermitian,
+    eigvals_hermitian,
     partial_trace,
     partial_transpose,
     positive_negative_parts,
@@ -61,6 +62,23 @@ class TestEigHermitian:
             w, _ = eig_hermitian(h)
             w_oracle, _ = jacobi_eigh(h)
             np.testing.assert_allclose(w, w_oracle, atol=1e-10)
+
+    def test_real_symmetric_stored_complex_takes_real_path(self, rng):
+        for n in (2, 5, 9, 16):
+            g = rng.normal(size=(n, n))
+            h = (g + g.T).astype(complex)
+            w, v = eig_hermitian(h)
+            assert v.dtype == np.float64
+            w_oracle, _ = jacobi_eigh(h)
+            np.testing.assert_allclose(w, w_oracle, atol=1e-10)
+            np.testing.assert_allclose(eigvals_hermitian(h), w_oracle, atol=1e-10)
+            assert np.max(np.abs(h @ v - v * w)) <= 1e-10 * max(np.abs(w))
+
+    def test_nearly_real_input_stays_complex(self, rng):
+        g = rng.normal(size=(4, 4))
+        skew = np.triu(np.ones((4, 4)), 1) - np.tril(np.ones((4, 4)), -1)
+        _, v = eig_hermitian((g + g.T) + 1e-300j * skew)
+        assert v.dtype == np.complex128
 
 
 class TestPositiveNegativeParts:
