@@ -31,9 +31,11 @@ from .channel import (
     unitary_channel,
 )
 from .entcap import (
+    ChannelAnalysis,
     ECBounds,
     OperatorSchmidt,
     SaturationReport,
+    analyze_channel,
     campbell_check,
     distance_bounds,
     ec_bounds_deterministic,

@@ -23,7 +23,7 @@ from . import channel as chn
 from . import entcap, families, gaussian, io
 from .errors import InvalidParams, NegacapError, ParseError
 from .gaussian import UNBOUNDED, BlockSpec, SymmetricParams
-from .linalg import BipartiteDims, eig_hermitian, operator_norm, trace_norm
+from .linalg import BipartiteDims, eig_hermitian, operator_norm
 
 
 @dataclass(frozen=True)
@@ -141,18 +141,17 @@ def cmd_channel_analyze(args) -> int:
     ch = io.load_channel(args.input)
     tol = args.tol
     base = _parse_base(args.base)
-    cp, hp, tp = chn.is_cp(ch, tol), chn.is_hp(ch, tol), chn.is_tp(ch, tol)
+    analysis = entcap.analyze_channel(ch, tol)
     report = {
         "in_dims": [ch.in_dims.d_a, ch.in_dims.d_b],
         "out_dims": [ch.out_dims.d_a, ch.out_dims.d_b],
-        "predicates": {"cp": cp, "hp": hp, "tp": tp},
+        "predicates": {"cp": analysis.cp, "hp": analysis.hp, "tp": analysis.tp},
     }
-    if hp:
-        witness = entcap.pt_minus_identity(ch)
-        report["gamma_norm_1"] = entcap.gamma_norm(ch, 1.0)
-        report["ppt"] = bool(trace_norm(witness) <= max(tol, 1e-9))
-    if cp and tp:
-        bounds = entcap.ec_bounds_deterministic(ch, base=base, tol=tol)
+    if analysis.hp:
+        report["gamma_norm_1"] = analysis.gamma_norm_1
+        report["ppt"] = analysis.ppt
+    if analysis.cp and analysis.tp:
+        bounds = analysis.bounds(base)
         cap = math.log(min(ch.out_dims.d_a, ch.out_dims.d_b), base)
         report["bounds"] = _bounds_dict(bounds)
         report["bounds_coincide"] = bool(
@@ -288,7 +287,8 @@ def cmd_saturate(args) -> int:
     }
     if args.state is not None:
         state = io.load_matrix(args.state)
-        if 1 in state.shape:  # ket supplied; form the projector
+        if 1 in state.shape and state.shape[0] != state.shape[1]:
+            # a column or row ket; a 1x1 matrix is a density matrix
             psi = state.reshape(-1)
             psi = psi / np.linalg.norm(psi)
             state = np.outer(psi, psi.conj())
@@ -300,13 +300,8 @@ def cmd_saturate(args) -> int:
             "max_overlap": result.max_overlap,
         }
     else:
-        witness = entcap.pt_minus_identity(ch)
-        d = ch.in_dims.total
-        scale = max(operator_norm(witness), 1e-30)
-        defect = float(
-            np.max(np.abs(witness - np.trace(witness) / d * np.eye(d)))
-        )
-        report["saturation"] = {"prop_identity": bool(defect <= args.tol * scale)}
+        analysis = entcap.analyze_channel(ch, args.tol)
+        report["saturation"] = {"prop_identity": analysis.prop_identity(args.tol)}
         family = payload.get("family")
         if family in families.KNOWN_OPTIMAL_FAMILIES:
             report["known_optimal_states"] = families.KNOWN_OPTIMAL_FAMILIES[family]

@@ -32,6 +32,7 @@ from .errors import (
     DimensionMismatch,
     NotCPTP,
     NotDensityOperator,
+    NotHermitian,
     NotHP,
     NotNormalized,
     NotTPSum,
@@ -43,6 +44,8 @@ from .linalg import (
     BipartiteDims,
     as_matrix,
     eig_hermitian,
+    eigvals_hermitian,
+    hermiticity_defect,
     operator_norm,
     partial_transpose,
     schatten_norm,
@@ -112,26 +115,41 @@ def gamma_split(ch: Channel, tol: float | None = None) -> MapSplit:
     return chn.hp_split(chn.map_partial_transpose(ch), tol=tol)
 
 
-def pt_minus_identity(ch: Channel, tol: float | None = None) -> Array:
-    """The bound-driving operator M = (S^Gamma)_-^dag(I); zero iff S is PPT.
+def _pt_eigenpairs(ch: Channel, tol: float) -> Tuple[Array, Array]:
+    """Eigenpairs of T(S^Gamma); raises NotHP when its defect exceeds ``tol``."""
+    try:
+        return eig_hermitian(chn.map_partial_transpose(ch).choi, tol=tol)
+    except NotHermitian as exc:
+        raise NotHP(f"S^Gamma is not Hermiticity preserving: {exc}") from exc
 
-    Equals ``adjoint_identity(gamma_split(ch, tol).minus)``, contracted
-    straight from the negative eigenpairs ``(w_n, v_n)`` of T(S^Gamma) so
-    that neither part of the split is formed. With each eigenvector
-    indexed ``v_n[i, k]`` (input i, output k),
-    ``M_ij = sum_kn |w_n| v_n[i, k]^* v_n[j, k]``.
+
+def _minus_identity(w: Array, v: Array, d_in: int, tol: float | None) -> Array:
+    """M = (S^Gamma)_-^dag(I) from the eigenpairs ``(w, v)`` of T(S^Gamma).
+
+    With each eigenvector indexed ``v_n[i, k]`` (input i, output k),
+    ``M_ij = sum_kn |w_n| v_n[i, k]^* v_n[j, k]`` over the eigenvalues
+    below ``-tol`` (default ``ZERO_EIGENVALUE_RTOL * max |w|``).
     """
-    pt = chn.map_partial_transpose(ch)
-    if not chn.is_hp(pt, tol if tol is not None else 1e-9):
-        raise NotHP("pt_minus_identity needs a Hermiticity-preserving channel")
-    w, v = eig_hermitian(pt.choi)
     if tol is None:
         tol = ZERO_EIGENVALUE_RTOL * (float(np.max(np.abs(w))) if w.size else 0.0)
     neg = w < -tol
     # rows i, columns (k, n): the sum over k and n is one matrix product
-    vecs = v[:, neg].reshape(ch.d_in, -1)
-    weighted = (v[:, neg] * -w[neg]).reshape(ch.d_in, -1)
+    vecs = v[:, neg].reshape(d_in, -1)
+    weighted = (v[:, neg] * -w[neg]).reshape(d_in, -1)
     return vecs.conj() @ weighted.T
+
+
+def pt_minus_identity(ch: Channel, tol: float | None = None) -> Array:
+    """The bound-driving operator M = (S^Gamma)_-^dag(I); zero iff S is PPT.
+
+    Equals ``adjoint_identity(gamma_split(ch, tol).minus)``, contracted
+    straight from the negative eigenpairs of T(S^Gamma) so that neither
+    part of the split is formed. ``tol`` (default 1e-9) is the
+    hermiticity tolerance of T(S^Gamma); when given it is also the
+    zero-eigenvalue cut-off.
+    """
+    w, v = _pt_eigenpairs(ch, tol if tol is not None else 1e-9)
+    return _minus_identity(w, v, ch.d_in, tol)
 
 
 @dataclass(frozen=True)
@@ -162,6 +180,21 @@ def _require_cptp(ch: Channel, tol: float):
         raise NotCPTP("operation must be CPTP within tolerance")
 
 
+def _ec_bounds(
+    lower_tr: float, upper_coeff: float, dims: BipartiteDims, base: float
+) -> ECBounds:
+    """Deterministic bounds from ``||M||_1`` (lower) and the upper-bound norm of M."""
+    d = dims.total
+    return ECBounds(
+        lower_n=lower_tr / d,
+        upper_n_coefficient=upper_coeff,
+        upper_n_max=upper_coeff * min(dims.d_a, dims.d_b),
+        lower_l=math.log(1.0 + 2.0 * lower_tr / d, base),
+        upper_l=math.log(1.0 + 2.0 * upper_coeff, base),
+        log_base=base,
+    )
+
+
 def ec_bounds_deterministic(
     ch: Channel,
     base: float = 2.0,
@@ -180,18 +213,83 @@ def ec_bounds_deterministic(
     state norm is then the Hoelder conjugate of p).
     """
     _require_cptp(ch, tol)
-    d = ch.in_dims.total
     m_canonical = pt_minus_identity(ch)
     m_upper = m_canonical if split is None else chn.adjoint_identity(split.minus)
-    lower_tr = trace_norm(m_canonical)
-    upper_coeff = schatten_norm(m_upper, p)
-    return ECBounds(
-        lower_n=lower_tr / d,
-        upper_n_coefficient=upper_coeff,
-        upper_n_max=upper_coeff * min(ch.in_dims.d_a, ch.in_dims.d_b),
-        lower_l=math.log(1.0 + 2.0 * lower_tr / d, base),
-        upper_l=math.log(1.0 + 2.0 * upper_coeff, base),
-        log_base=base,
+    return _ec_bounds(
+        trace_norm(m_canonical), schatten_norm(m_upper, p), ch.in_dims, base
+    )
+
+
+def _is_prop_identity(m: Array, m_operator_norm: float, tol: float) -> bool:
+    """M is proportional to the identity within ``tol`` relative to ``||M||_inf``."""
+    d = m.shape[0]
+    defect = float(np.max(np.abs(m - np.trace(m) / d * np.eye(d))))
+    return defect <= tol * max(m_operator_norm, 1e-30)
+
+
+@dataclass(frozen=True)
+class ChannelAnalysis:
+    """Predicates, witness and norms of a channel from two spectra.
+
+    ``hp``/``cp``/``tp`` are the Choi predicates at the ``tol`` of
+    :func:`analyze_channel`. When the
+    channel is HP, ``witness`` is M = (S^Gamma)_-^dag(I) as
+    :func:`pt_minus_identity` returns it, ``gamma_norm_1`` is
+    ``||T(S^Gamma)||_1`` and ``ppt`` says ``||M||_1 <= max(tol, 1e-9)``;
+    otherwise these are ``None``.
+    """
+
+    in_dims: BipartiteDims
+    hp: bool
+    cp: bool
+    tp: bool
+    witness: Array | None = None
+    gamma_norm_1: float | None = None
+    witness_trace_norm: float | None = None
+    witness_operator_norm: float | None = None
+    ppt: bool | None = None
+
+    def bounds(self, base: float = 2.0) -> ECBounds:
+        """The bounds of :func:`ec_bounds_deterministic` at the default split and p."""
+        if not (self.cp and self.tp):
+            raise NotCPTP("operation must be CPTP within tolerance")
+        return _ec_bounds(
+            self.witness_trace_norm, self.witness_operator_norm, self.in_dims, base
+        )
+
+    def prop_identity(self, tol: float) -> bool:
+        """M is proportional to the identity, so the bounds coincide."""
+        if self.witness is None:
+            raise NotHP("the witness needs a Hermiticity-preserving channel")
+        return _is_prop_identity(self.witness, self.witness_operator_norm, tol)
+
+
+def analyze_channel(ch: Channel, tol: float = 1e-9) -> ChannelAnalysis:
+    """One spectral analysis of a channel: the Choi and PT-Choi spectra.
+
+    Runs one eigenvalue solve of T(S), for CP, and one eigendecomposition
+    of T(S^Gamma), from which M, ``||T(S^Gamma)||_1 = sum |w|`` and the
+    norms of M follow. T(S^Gamma) is held to the hermiticity tolerance
+    1e-9 of :func:`pt_minus_identity`.
+    """
+    hp = hermiticity_defect(ch.choi) <= tol
+    cp = hp and bool(eigvals_hermitian(ch.choi)[0] >= -tol)
+    tp = chn.is_tp(ch, tol)
+    if not hp:
+        return ChannelAnalysis(in_dims=ch.in_dims, hp=hp, cp=cp, tp=tp)
+    w, v = _pt_eigenpairs(ch, 1e-9)
+    witness = _minus_identity(w, v, ch.d_in, None)
+    witness_trace_norm = trace_norm(witness)
+    return ChannelAnalysis(
+        in_dims=ch.in_dims,
+        hp=hp,
+        cp=cp,
+        tp=tp,
+        witness=witness,
+        gamma_norm_1=float(np.sum(np.abs(w))),
+        witness_trace_norm=witness_trace_norm,
+        witness_operator_norm=operator_norm(witness),
+        ppt=witness_trace_norm <= max(tol, 1e-9),
     )
 
 
@@ -483,6 +581,14 @@ def _kraus_vectors(part: Channel, tol: float) -> List[Array]:
     return [np.sqrt(c) * v for c, v in zip(form.coefficients, form.operators) if c > tol]
 
 
+def _unit_rows(vectors: List[Array], dim: int) -> Array:
+    """The vectors of norm at least 1e-15, normalized, as the rows of one array."""
+    rows = np.array(vectors, dtype=complex).reshape(len(vectors), dim)
+    norms = np.linalg.norm(rows, axis=1)
+    keep = norms >= 1e-15
+    return rows[keep] / norms[keep, None]
+
+
 def saturation_check(
     ch: Channel, rho: Array, tol: float = 1e-8
 ) -> SaturationReport:
@@ -497,10 +603,9 @@ def saturation_check(
     d = ch.in_dims.total
     split = gamma_split(ch)
     m_minus = chn.adjoint_identity(split.minus)
-    m_scale = max(operator_norm(m_minus), 1e-30)
-    prop_identity = (
-        float(np.max(np.abs(m_minus - np.trace(m_minus) / d * np.eye(d)))) <= tol * m_scale
-    )
+    m_norm = operator_norm(m_minus)
+    m_scale = max(m_norm, 1e-30)
+    prop_identity = _is_prop_identity(m_minus, m_norm, tol)
 
     v_plus = _kraus_vectors(split.plus, tol=1e-12)
     v_minus = _kraus_vectors(split.minus, tol=1e-12)
@@ -513,16 +618,8 @@ def saturation_check(
     direct += [v @ p for v in v_minus for p in psi_minus]
     cross = [v @ p for v in v_plus for p in psi_minus]
     cross += [v @ p for v in v_minus for p in psi_plus]
-    max_overlap = 0.0
-    for c in cross:
-        nc = np.linalg.norm(c)
-        if nc < 1e-15:
-            continue
-        for dv in direct:
-            nd = np.linalg.norm(dv)
-            if nd < 1e-15:
-                continue
-            max_overlap = max(max_overlap, abs(np.vdot(c, dv)) / (nc * nd))
+    c, dv = _unit_rows(cross, ch.d_out), _unit_rows(direct, ch.d_out)
+    max_overlap = float(np.max(np.abs(c.conj() @ dv.T))) if c.size and dv.size else 0.0
     orthogonality = max_overlap <= tol
 
     if prop_identity:

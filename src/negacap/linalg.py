@@ -116,13 +116,11 @@ def eig_hermitian(h: Array, tol: float | None = None) -> Tuple[Array, Array]:
     h = as_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got {h.shape}")
-    scale = float(np.max(np.abs(h))) if h.size else 0.0
     if tol is None:
-        tol = 1e-9 * max(1.0, scale)
-    if hermiticity_defect(h) > tol:
-        raise NotHermitian(
-            f"hermiticity defect {hermiticity_defect(h):.3e} exceeds {tol:.3e}"
-        )
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(h))) if h.size else 0.0)
+    defect = hermiticity_defect(h)
+    if defect > tol:
+        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol:.3e}")
     try:
         w, v = np.linalg.eigh(_hermitian_part(h))
     except np.linalg.LinAlgError as exc:  # pragma: no cover

@@ -10,6 +10,8 @@ from negacap.io import channel_to_dict, matrix_to_dict
 from negacap.channel import unitary_channel
 from negacap.linalg import BipartiteDims
 
+from conftest import rand_unitary
+
 
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
@@ -65,6 +67,30 @@ class TestChannelAnalyze:
         path = write_json(tmp_path / "sub.json", payload)
         code, out, _ = run(capsys, "channel-analyze", path)
         assert code == 2
+
+    def test_non_cptp_report_keys(self, tmp_path, capsys):
+        # HP but not CP: norms and PPT flag are reported, bounds are not
+        swap = np.eye(4)[[0, 2, 1, 3]]  # Choi matrix of the transpose map
+        payload = {"in_dims": [2, 1], "out_dims": [2, 1], "choi": matrix_to_dict(swap)}
+        path = write_json(tmp_path / "transpose.json", payload)
+        code, out, _ = run(capsys, "channel-analyze", path)
+        report = json.loads(out)
+        assert code == 2
+        assert list(report) == [
+            "in_dims", "out_dims", "predicates", "gamma_norm_1", "ppt", "error"
+        ]
+        assert report["predicates"] == {"cp": False, "hp": True, "tp": True}
+
+    def test_non_hp_report_keys(self, tmp_path, capsys):
+        choi = 0.5 * np.eye(4, dtype=complex)  # completely depolarizing, TP
+        choi[0, 3] = 0.1j
+        payload = {"in_dims": [2, 1], "out_dims": [2, 1], "choi": matrix_to_dict(choi)}
+        path = write_json(tmp_path / "non_hp.json", payload)
+        code, out, _ = run(capsys, "channel-analyze", path)
+        report = json.loads(out)
+        assert code == 2
+        assert list(report) == ["in_dims", "out_dims", "predicates", "error"]
+        assert report["predicates"] == {"cp": False, "hp": False, "tp": True}
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -182,6 +208,16 @@ class TestSaturate:
         report = json.loads(out)
         assert report["saturation"]["achieves_upper"] is False
 
+    def test_one_by_one_density_matrix_is_not_a_ket(self, tmp_path, capsys):
+        ch = unitary_channel(np.eye(1), BipartiteDims(1, 1))
+        ch_path = write_json(tmp_path / "c.json", channel_to_dict(ch))
+        st_path = write_json(tmp_path / "s.json", matrix_to_dict(np.array([[0.5]])))
+        code, out, err = run(capsys, "saturate", "--channel", ch_path, "--state", st_path)
+        assert code == 2
+        assert out == ""
+        # NotDensityOperator: the matrix is not renormalized as a ket would be
+        assert err.startswith("error: trace 0.5")
+
     def test_family_without_state(self, tmp_path, capsys):
         path = write_json(
             tmp_path / "fam.json", {"family": "rot22", "alpha": 0.2, "beta": 0.9}
@@ -219,19 +255,25 @@ class TestThreading:
         assert serial == parallel
 
 
+def count_lapack(monkeypatch):
+    """Record (name, side, dtype) of every LAPACK decomposition numpy runs."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, _name=name, **kwargs):
+            calls.append((_name, a.shape[-1], a.dtype))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 class TestKernelCounts:
     """LAPACK work per rot33 sweep point, as the benchmark's traced run counts it."""
 
     def test_rot33_point(self, capsys, monkeypatch, rng):
-        calls = []
-        for name in ("eigh", "eigvalsh", "svd"):
-            original = getattr(np.linalg, name)
-
-            def counted(a, *args, _original=original, _name=name, **kwargs):
-                calls.append((_name, a.shape[-1], a.dtype))
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = count_lapack(monkeypatch)
         pt_calls = []
         original_pt = entcap.pt_minus_identity
 
@@ -252,6 +294,17 @@ class TestKernelCounts:
         assert sum(n**3 for _, n, _ in calls) == points * (3 * 81**3 + 3 * 9**3)
         assert len(pt_calls) == 2 * points
         assert all(dtype == np.float64 for _, n, dtype in calls if n == 81)
+
+    def test_analyze_unitary_4x4(self, tmp_path, capsys, monkeypatch, rng):
+        # one Choi eigvalsh and one PT-Choi eigh at side 256, the two norms of M at 16
+        ch = unitary_channel(rand_unitary(rng, 16), BipartiteDims(4, 4))
+        path = write_json(tmp_path / "u44.json", channel_to_dict(ch))
+        calls = count_lapack(monkeypatch)
+        code, _, _ = run(capsys, "channel-analyze", path)
+        assert code == 0
+        assert sorted((name, n) for name, n, _ in calls) == [
+            ("eigh", 256), ("eigvalsh", 256), ("svd", 16), ("svd", 16)
+        ]
 
 
 class TestFormatFlag:

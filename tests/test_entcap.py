@@ -5,16 +5,22 @@ import pytest
 
 from negacap import families
 from negacap.channel import (
+    Channel,
     adjoint_identity,
     apply,
     choi_from_kraus,
+    is_cp,
+    is_hp,
+    is_tp,
     kraus_channel,
+    kraus_from_choi,
     map_partial_transpose,
     mix,
     unitary_channel,
 )
 from negacap.entcap import (
     ECBounds,
+    analyze_channel,
     campbell_check,
     distance_bounds,
     ec_bounds_deterministic,
@@ -35,6 +41,7 @@ from negacap.errors import (
     NegacapError,
     NotCPTP,
     NotDensityOperator,
+    NotHP,
     NotTPSum,
     NotUnitary,
 )
@@ -239,6 +246,46 @@ class TestRealArithmeticPath:
         ):
             expected = adjoint_identity(gamma_split(ch).minus)
             assert np.max(np.abs(pt_minus_identity(ch) - expected)) <= 1e-13
+
+
+class TestChannelAnalysis:
+    """One Choi and one PT-Choi spectrum give what the separate routines give."""
+
+    @pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_matches_separate_routines(self, rng, da, db):
+        dims = BipartiteDims(da, db)
+        for ch in (
+            rand_cptp(rng, dims, k=2),
+            unitary_channel(rand_unitary(rng, dims.total), dims),
+        ):
+            analysis = analyze_channel(ch)
+            assert (analysis.hp, analysis.cp, analysis.tp) == (
+                is_hp(ch), is_cp(ch), is_tp(ch)
+            )
+            assert np.array_equal(analysis.witness, pt_minus_identity(ch))
+            for base in (2.0, math.e, 10.0):
+                assert analysis.bounds(base) == ec_bounds_deterministic(ch, base=base)
+            assert analysis.gamma_norm_1 == pytest.approx(gamma_norm(ch, 1.0), rel=1e-12)
+            assert analysis.ppt == (trace_norm(pt_minus_identity(ch)) <= 1e-9)
+
+    def test_hp_not_cp(self, rng):
+        terms = [(1.0, rand_unitary(rng, 4)), (-0.5, rand_unitary(rng, 4))]
+        ch = choi_from_kraus(terms, D22, D22)
+        analysis = analyze_channel(ch)
+        assert analysis.hp and not analysis.cp
+        assert analysis.gamma_norm_1 == pytest.approx(gamma_norm(ch, 1.0), rel=1e-12)
+        with pytest.raises(NotCPTP):
+            analysis.bounds()
+
+    def test_non_hp_has_no_witness(self, rng):
+        choi = 0.25 * np.eye(16, dtype=complex)
+        choi[0, 5] = 1e-3j
+        ch = Channel(choi=choi, in_dims=D22, out_dims=D22)
+        analysis = analyze_channel(ch)
+        assert not (analysis.hp or analysis.cp)
+        assert analysis.witness is None and analysis.ppt is None
+        with pytest.raises(NotHP):
+            analysis.prop_identity(1e-8)
 
 
 class TestProbabilisticBounds:
@@ -527,6 +574,47 @@ class TestDistanceBoundsSchattenPairs:
             for p in (1.0, 2.0, np.inf):
                 lhs, mid, _ = distance_bounds(s1, s2, rho, p=p)
                 assert lhs <= mid + 1e-9
+
+
+def _pairwise_max_overlap(ch, rho):
+    """max |<c, d>| / (|c| |d|) over cross and direct vectors, pair by pair."""
+    split = gamma_split(ch)
+    v_plus, v_minus = (
+        [np.sqrt(c) * v for c, v in zip(form.coefficients, form.operators) if c > 1e-12]
+        for form in (kraus_from_choi(split.plus), kraus_from_choi(split.minus))
+    )
+    w, vecs = eig_hermitian(partial_transpose(rho, ch.in_dims))
+    scale = float(np.max(np.abs(w)))
+    psi_plus = [np.sqrt(x) * vecs[:, i] for i, x in enumerate(w) if x > 1e-12 * scale]
+    psi_minus = [np.sqrt(-x) * vecs[:, i] for i, x in enumerate(w) if x < -1e-12 * scale]
+    direct = [v @ p for v in v_plus for p in psi_plus]
+    direct += [v @ p for v in v_minus for p in psi_minus]
+    cross = [v @ p for v in v_plus for p in psi_minus]
+    cross += [v @ p for v in v_minus for p in psi_plus]
+    best = 0.0
+    for c in cross:
+        nc = np.linalg.norm(c)
+        if nc < 1e-15:
+            continue
+        for dv in direct:
+            nd = np.linalg.norm(dv)
+            if nd < 1e-15:
+                continue
+            best = max(best, abs(np.vdot(c, dv)) / (nc * nd))
+    return best
+
+
+class TestSaturationOverlap:
+    @pytest.mark.parametrize("dims", [D22, D23])
+    def test_gram_product_matches_pairwise_loop(self, rng, dims):
+        for _ in range(3):
+            ch = unitary_channel(rand_unitary(rng, dims.total), dims)
+            rho = rand_density(rng, dims.total)
+            expected = _pairwise_max_overlap(ch, rho)
+            assert expected > 0.0
+            assert saturation_check(ch, rho).max_overlap == pytest.approx(
+                expected, rel=1e-12, abs=1e-12
+            )
 
 
 class TestSaturationEigenspaceMembership:
