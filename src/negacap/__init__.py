@@ -56,7 +56,6 @@ from .gaussian import (
     CovarianceMatrix,
     StandardForm,
     SymmetricParams,
-    SymplecticForm,
     Unbounded,
     block_log_negativity,
     cov_purity,

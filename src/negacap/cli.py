@@ -11,11 +11,12 @@ digits and LF line endings, bit-identical across reruns. Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,33 +33,30 @@ class SweepAxis:
     start: float
     stop: float
     steps: int
+    log: bool = False
 
     def __post_init__(self):
         if self.steps < 2:
             raise InvalidParams(f"axis {self.name}: steps must be >= 2")
         if not self.start < self.stop:
             raise InvalidParams(f"axis {self.name}: start must be < stop")
+        if self.log and self.start <= 0:
+            raise InvalidParams(f"axis {self.name}: log grid needs start > 0")
 
-    def grid(self, log: bool = False) -> np.ndarray:
-        if log:
-            if self.start <= 0:
-                raise InvalidParams(f"axis {self.name}: log grid needs start > 0")
-            return np.geomspace(self.start, self.stop, self.steps)
-        return np.linspace(self.start, self.stop, self.steps)
+    def values(self) -> list:
+        """The axis points as Python floats."""
+        space = np.geomspace if self.log else np.linspace
+        return [float(x) for x in space(self.start, self.stop, self.steps)]
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    axes: Tuple[SweepAxis, ...]
-    log_axes: Tuple[str, ...] = ()
+def _axis(name: str, spec: Sequence[float], log: bool = False) -> SweepAxis:
+    """An axis from a ``START STOP STEPS`` option."""
+    return SweepAxis(name, spec[0], spec[1], int(spec[2]), log)
 
-    def grid(self):
-        """Cartesian grid of the axes in row-major order (first slowest)."""
-        points = [()]
-        for ax in self.axes:
-            values = ax.grid(log=ax.name in self.log_axes)
-            points = [(*p, float(x)) for p in points for x in values]
-        return points
+
+def _grid(*axes: SweepAxis) -> list:
+    """Cartesian grid of the axes in row-major order (first slowest)."""
+    return list(itertools.product(*(ax.values() for ax in axes)))
 
 
 def _fmt(x: float) -> str:
@@ -181,18 +179,16 @@ def _sweep_point_unitary(family: str, base: float, alpha: float, beta: float):
     )
 
 
-def _sweep_point_mix(pair, base: float, p: float):
-    ch1, ch2 = pair
-    joint = chn.mix([ch1, ch2], [p, 1.0 - p])
-    m_joint = entcap.pt_minus_identity(joint)
-    m_convex = p * entcap.pt_minus_identity(ch1) + (1.0 - p) * entcap.pt_minus_identity(
-        ch2
-    )
-    lower = entcap.ec_bounds_deterministic(joint, base=base).lower_l
+def _sweep_point_mix(pair, witnesses, base: float, p: float):
+    """Bounds of the mixture at weight ``p``, and the upper bound from
+    the convex split, whose witness mixes the pair's ``witnesses``."""
+    joint = entcap.analyze_channel(chn.mix(pair, [p, 1.0 - p]))
+    bounds = joint.bounds(base)
+    m_convex = p * witnesses[0] + (1.0 - p) * witnesses[1]
     return (
         p,
-        lower,
-        math.log(1.0 + 2.0 * operator_norm(m_joint), base),
+        bounds.lower_l,
+        bounds.upper_l,
         math.log(1.0 + 2.0 * operator_norm(m_convex), base),
     )
 
@@ -200,20 +196,16 @@ def _sweep_point_mix(pair, base: float, p: float):
 def cmd_channel_sweep(args) -> int:
     base = _parse_base(args.base)
     if args.family == "mix":
+        weights = _axis("p", args.p).values()
         pair = families.mix_pair(args.pair)
-        spec = SweepSpec(axes=(SweepAxis("p", args.p[0], args.p[1], int(args.p[2])),))
-        rows = [_sweep_point_mix(pair, base, p) for (p,) in spec.grid()]
+        witnesses = [entcap.pt_minus_identity(ch) for ch in pair]
+        rows = [_sweep_point_mix(pair, witnesses, base, p) for p in weights]
         header = ["p", "lower_L", "upper_L_joint", "upper_L_convex"]
     else:
         if args.family not in families.FAMILIES:
             raise ParseError(f"unknown family {args.family!r}")
-        spec = SweepSpec(
-            axes=(
-                SweepAxis("alpha", args.alpha[0], args.alpha[1], int(args.alpha[2])),
-                SweepAxis("beta", args.beta[0], args.beta[1], int(args.beta[2])),
-            ),
-        )
-        rows = [_sweep_point_unitary(args.family, base, *ab) for ab in spec.grid()]
+        grid = _grid(_axis("alpha", args.alpha), _axis("beta", args.beta))
+        rows = [_sweep_point_unitary(args.family, base, *ab) for ab in grid]
         header = [
             "alpha",
             "beta",
@@ -257,13 +249,7 @@ def cmd_gaussian_sup(args) -> int:
 def cmd_gaussian_sweep(args) -> int:
     base = _parse_base(args.base)
     blocks = BlockSpec(args.N, args.n1, args.n2)
-    spec = SweepSpec(
-        axes=(
-            SweepAxis("gamma", args.gamma[0], args.gamma[1], int(args.gamma[2])),
-            SweepAxis("r", args.r[0], args.r[1], int(args.r[2])),
-        ),
-        log_axes=("r",) if args.log_r else (),
-    )
+    grid = _grid(_axis("gamma", args.gamma), _axis("r", args.r, log=args.log_r))
 
     def point(gr):
         g, r = gr
@@ -273,7 +259,7 @@ def cmd_gaussian_sweep(args) -> int:
         f = gaussian.f_block(params, blocks)
         return (g, r, f, gaussian.block_log_negativity(params, blocks, base))
 
-    rows = [point(gr) for gr in spec.grid()]
+    rows = [point(gr) for gr in grid]
     _emit_table(["gamma", "r", "f", "E_L"], rows, args)
     return 0
 
@@ -351,10 +337,18 @@ def cmd_soundness(args) -> int:
     return 0 if not report["upper_bound_violated"] and sup_violations == 0 else 2
 
 
-def _add_common(parser):
-    parser.add_argument("--base", default="2", help="log base: 2, e or 10")
-    parser.add_argument("--hbar", type=float, default=1.0)
-    parser.add_argument("--tol", type=float, default=1e-9)
+#: options shared by several commands; each command declares the ones it reads
+_SHARED_OPTIONS = {
+    "base": dict(default="2", help="log base: 2, e or 10"),
+    "hbar": dict(type=float, default=1.0),
+    "tol": dict(type=float, default=1e-9),
+}
+
+
+def _add_common(parser, *shared: str):
+    """The ``shared`` options by name, then ``--out`` and ``--format``."""
+    for name in shared:
+        parser.add_argument(f"--{name}", **_SHARED_OPTIONS[name])
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default=None)
 
@@ -368,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("channel-analyze", help="predicates, norms and bounds")
     p.add_argument("input", help="channel JSON file")
-    _add_common(p)
+    _add_common(p, "base", "tol")
     p.set_defaults(fn=cmd_channel_analyze)
 
     p = sub.add_parser("channel-sweep", help="bound sweeps over a family")
@@ -381,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("START", "STOP", "STEPS"), help="mixture weight axis")
     p.add_argument("--pair", choices=("rot23", "rot33"), default="rot23",
                    help="unitary pair for the mix family")
-    _add_common(p)
+    _add_common(p, "base")
     p.set_defaults(fn=cmd_channel_sweep)
 
     p = sub.add_parser("gaussian-sup", help="closed-form block supremum")
@@ -390,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n2", type=int)
     p.add_argument("--nu-d", dest="nu_d", type=float, default=None)
     p.add_argument("--measure", choices=("logneg", "neg"), default="logneg")
-    _add_common(p)
+    _add_common(p, "base", "hbar")
     p.set_defaults(fn=cmd_gaussian_sup)
 
     p = sub.add_parser("gaussian-sweep", help="f and E_L over a (gamma, r) grid")
@@ -403,13 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", nargs=3, type=float, default=(1e-6, 1e6, 61),
                    metavar=("START", "STOP", "STEPS"))
     p.add_argument("--log-r", action="store_true", help="geometric r grid")
-    _add_common(p)
+    _add_common(p, "base", "hbar")
     p.set_defaults(fn=cmd_gaussian_sweep)
 
     p = sub.add_parser("saturate", help="bound-saturation report")
     p.add_argument("--channel", required=True)
     p.add_argument("--state", default=None, help="density matrix or ket JSON")
-    _add_common(p)
+    _add_common(p, "tol")
     p.set_defaults(fn=cmd_saturate)
 
     p = sub.add_parser("soundness", help="Monte-Carlo bound checks")
@@ -418,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=4)
     p.add_argument("--n1", type=int, default=1)
     p.add_argument("--n2", type=int, default=1)
-    _add_common(p)
+    _add_common(p, "base", "tol")
     p.set_defaults(fn=cmd_soundness)
 
     return parser

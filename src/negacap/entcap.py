@@ -176,7 +176,7 @@ class ECBounds:
 
 
 def _require_cptp(ch: Channel, tol: float):
-    if not chn.is_cp(ch, tol) or not chn.is_tp(ch, tol):
+    if not chn.is_cptp(ch, tol):
         raise NotCPTP("operation must be CPTP within tolerance")
 
 
@@ -196,28 +196,18 @@ def _ec_bounds(
 
 
 def ec_bounds_deterministic(
-    ch: Channel,
-    base: float = 2.0,
-    tol: float = 1e-9,
-    split: MapSplit | None = None,
-    p: float = np.inf,
+    ch: Channel, base: float = 2.0, tol: float = 1e-9
 ) -> ECBounds:
     """Bounds on the entangling capacity of a deterministic operation.
 
-    The lower bounds always use the canonical spectral split, whose
-    minus part has minimal trace. The upper bounds use ``split`` when
-    given (any CP split of S^Gamma, e.g. a convex combination of
-    per-term splits); the canonical one need not minimize the operator
-    norm, which is what the Appendix-C style comparisons explore.
-    ``p`` generalizes the operator norm on M to Schatten-p (the paired
-    state norm is then the Hoelder conjugate of p).
+    Both bounds come from the witness M of the canonical spectral split:
+    the lower bounds from ``||M||_1``, which that split minimizes over CP
+    splits, and the upper bounds from ``||M||_inf``, which it need not
+    minimize (the Appendix-C comparison with convex splits).
     """
     _require_cptp(ch, tol)
-    m_canonical = pt_minus_identity(ch)
-    m_upper = m_canonical if split is None else chn.adjoint_identity(split.minus)
-    return _ec_bounds(
-        trace_norm(m_canonical), schatten_norm(m_upper, p), ch.in_dims, base
-    )
+    m = pt_minus_identity(ch)
+    return _ec_bounds(trace_norm(m), operator_norm(m), ch.in_dims, base)
 
 
 def _is_prop_identity(m: Array, m_operator_norm: float, tol: float) -> bool:
@@ -250,7 +240,7 @@ class ChannelAnalysis:
     ppt: bool | None = None
 
     def bounds(self, base: float = 2.0) -> ECBounds:
-        """The bounds of :func:`ec_bounds_deterministic` at the default split and p."""
+        """The bounds of :func:`ec_bounds_deterministic`."""
         if not (self.cp and self.tp):
             raise NotCPTP("operation must be CPTP within tolerance")
         return _ec_bounds(

@@ -43,17 +43,6 @@ from .linalg import Array, eig_hermitian, sqrt_psd
 SYMMETRY_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
-    """The standard symplectic form in interleaved mode ordering."""
-
-    n_modes: int
-
-    @property
-    def omega(self) -> Array:
-        return symplectic_form(self.n_modes)
-
-
 def symplectic_form(n_modes: int) -> Array:
     """Block-diagonal Omega = diag([[0,1],[-1,0]], ...)."""
     omega = np.zeros((2 * n_modes, 2 * n_modes))

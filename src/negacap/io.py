@@ -161,11 +161,3 @@ def load_channel(path: str) -> Channel:
 
 def load_matrix(path: str) -> Array:
     return matrix_from_dict(load_json(path))
-
-
-def load_covariance(path: str) -> CovarianceMatrix:
-    return covariance_from_dict(load_json(path))
-
-
-def load_params(path: str) -> SymmetricParams:
-    return params_from_dict(load_json(path))

@@ -46,17 +46,9 @@ def as_matrix(m: "Array | Sequence") -> Array:
     return a
 
 
-def adjoint(m: Array) -> Array:
-    return np.conj(np.asarray(m)).T
-
-
 def hermiticity_defect(m: Array) -> float:
     m = np.asarray(m)
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-
-
-def is_hermitian(m: Array, tol: float = 1e-9) -> bool:
-    return hermiticity_defect(m) <= tol
 
 
 @dataclass(frozen=True)
@@ -87,7 +79,6 @@ class HermitianSplit:
 
     plus: Array
     minus: Array
-    tolerance: float
 
 
 def _hermitian_part(h: Array) -> Array:
@@ -154,7 +145,7 @@ def positive_negative_parts(h: Array, tol: float | None = None) -> HermitianSpli
     neg = w < -tol
     plus = (v[:, pos] * w[pos]) @ v[:, pos].conj().T
     minus = (v[:, neg] * (-w[neg])) @ v[:, neg].conj().T
-    return HermitianSplit(plus=plus, minus=minus, tolerance=float(tol))
+    return HermitianSplit(plus=plus, minus=minus)
 
 
 def singular_values(o: Array) -> Array:

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import math
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 
 from negacap import entcap, families
-from negacap.cli import main
+from negacap.cli import build_parser, main
 from negacap.io import channel_to_dict, matrix_to_dict
 from negacap.channel import unitary_channel
 from negacap.linalg import BipartiteDims
@@ -305,6 +307,51 @@ class TestKernelCounts:
         assert sorted((name, n) for name, n, _ in calls) == [
             ("eigh", 256), ("eigvalsh", 256), ("svd", 16), ("svd", 16)
         ]
+
+    def test_mix_points(self, capsys, monkeypatch):
+        # the pair's witnesses once, then one analysis of each mixture
+        calls = count_lapack(monkeypatch)
+        points = 3
+        code, _, _ = run(
+            capsys, "channel-sweep", "--family", "mix", "--pair", "rot33",
+            "--p", "0.2", "0.8", str(points),
+        )
+        assert code == 0
+        assert sum(n == 81 for _, n, _ in calls) == 2 * points + 2
+
+
+#: (command argv, shared flag its handler does not read)
+UNREAD_FLAGS = [
+    (["channel-analyze", "ch.json"], "--hbar"),
+    (["channel-sweep", "--family", "rot22"], "--hbar"),
+    (["saturate", "--channel", "ch.json"], "--hbar"),
+    (["soundness", "--trials", "1"], "--hbar"),
+    (["channel-sweep", "--family", "rot22"], "--tol"),
+    (["gaussian-sup", "3", "1", "1"], "--tol"),
+    (["gaussian-sweep", "--N", "3", "--n1", "1", "--n2", "1"], "--tol"),
+    (["saturate", "--channel", "ch.json"], "--base"),
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv, flag", UNREAD_FLAGS)
+    def test_unread_flag_is_a_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_every_flag_is_read_by_its_handler(self):
+        sub = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        for command, parser in sub.choices.items():
+            source = inspect.getsource(parser.get_default("fn"))
+            for action in parser._actions:
+                if action.dest in ("help", "out", "format"):
+                    continue
+                assert f"args.{action.dest}" in source, (command, action.dest)
 
 
 class TestFormatFlag:

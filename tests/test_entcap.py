@@ -546,24 +546,6 @@ class TestAppendixCPhenomenon:
                 break
         assert found
 
-    def test_caller_supplied_split_changes_upper_bound(self):
-        ch1, ch2 = families.mix_pair("rot23")
-        p = 0.5
-        mixed = mix([ch1, ch2], [p, 1 - p])
-        convex_split_minus = mix(
-            [gamma_split(ch1).minus, gamma_split(ch2).minus], [p, 1 - p]
-        )
-        convex_split_plus = mix(
-            [gamma_split(ch1).plus, gamma_split(ch2).plus], [p, 1 - p]
-        )
-        from negacap.channel import MapSplit
-
-        alt = MapSplit(plus=convex_split_plus, minus=convex_split_minus)
-        default = ec_bounds_deterministic(mixed, base=2)
-        supplied = ec_bounds_deterministic(mixed, base=2, split=alt)
-        assert supplied.upper_l < default.upper_l
-        assert supplied.lower_l == pytest.approx(default.lower_l, abs=1e-12)
-
 
 class TestDistanceBoundsSchattenPairs:
     def test_conjugate_pairs_still_bound(self, rng):

@@ -126,13 +126,10 @@ class TestSymplecticSpectrum:
             )
 
     def test_omega_properties(self):
-        from negacap.gaussian import SymplecticForm
-
         for n in (1, 3):
             omega = symplectic_form(n)
             np.testing.assert_allclose(omega @ omega.T, np.eye(2 * n))
             np.testing.assert_allclose(omega.T, -omega)
-            np.testing.assert_allclose(SymplecticForm(n).omega, omega)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotPositiveDefinite):
